@@ -11,7 +11,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughpu
 use gvfs::{codec, BlockCache, BlockCacheConfig, Tag};
 use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, RpcClient, WireSpec};
 use simnet::{Env, Link, SimDuration, Simulation};
-use vfs::{Disk, DiskModel, SparseBytes};
+use vfs::{Disk, DiskModel, Fs, SparseBytes};
 use xdr::{Decoder, Encoder};
 
 fn bench_xdr(c: &mut Criterion) {
@@ -89,7 +89,62 @@ fn bench_sparse(c: &mut Criterion) {
         s.write_at(512 << 20, &[1]);
         b.iter(|| s.is_zero_range(0, 512 << 20))
     });
+    // A fleet's clone step: one golden memory image copied 128 times into
+    // the same filesystem, 1 MiB per read/write as `vmm` copies a `.vmss`.
+    let image = clustered_image(5 << 19);
+    g.throughput(Throughput::Bytes(128 * image.len() as u64));
+    g.bench_function("copy_shared_image", |b| {
+        b.iter_batched(
+            || {
+                let mut fs = Fs::new(0);
+                let root = fs.root();
+                let golden = fs.create(root, "golden.vmss", 0o644, 0).unwrap();
+                fs.write(golden, 0, &image, 0).unwrap();
+                (fs, golden)
+            },
+            |(mut fs, golden)| {
+                let root = fs.root();
+                for i in 0..128 {
+                    let clone = fs
+                        .create(root, &format!("clone{i}.vmss"), 0o644, 0)
+                        .unwrap();
+                    for off in (0..image.len() as u64).step_by(1 << 20) {
+                        let (data, _) = fs.read(golden, off, 1 << 20, 0).unwrap();
+                        fs.write(clone, off, &data, 0).unwrap();
+                    }
+                }
+                fs
+            },
+            BatchSize::SmallInput,
+        )
+    });
     g.finish();
+}
+
+/// A memory image shaped like `vmm`'s: a dense first fifth (kernel and
+/// libraries), then 64 KB clusters of page data at page-aligned,
+/// pseudo-random offsets, the rest zero.
+fn clustered_image(len: usize) -> Vec<u8> {
+    const PAGE: usize = 4096;
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let mut next = move || {
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        x >> 33
+    };
+    let mut image = vec![0u8; len];
+    let dense = len / 5;
+    for b in &mut image[..dense] {
+        *b = next() as u8;
+    }
+    for _ in 0..len / (20 * 64 * 1024) {
+        let at = (next() as usize % ((len - 64 * 1024) / PAGE)) * PAGE;
+        for b in &mut image[at..at + 64 * 1024] {
+            *b = next() as u8;
+        }
+    }
+    image
 }
 
 fn bench_block_cache(c: &mut Criterion) {

@@ -1587,7 +1587,9 @@ impl Proxy {
                             if let Some(cas) = &ctx.cas {
                                 cas.insert(&r.data);
                             }
-                            if let Some((etag, edata)) = ctx.bc.insert(env, t, r.data, false) {
+                            if let Some((etag, edata)) =
+                                ctx.bc.insert(env, t, r.data.to_vec(), false)
+                            {
                                 writeback_evicted_block(
                                     env,
                                     &ctx.upstream,
@@ -1731,7 +1733,7 @@ impl Proxy {
                     } else {
                         let nfs = nfs3::Nfs3Client::new(self.upstream.with_cred(cred.clone()));
                         let mut base = match nfs.read(env, a.file.0, bstart, bs as u32) {
-                            Ok(r) => r.data,
+                            Ok(r) => r.data.to_vec(),
                             Err(_) => {
                                 // Base fetch for read-modify-write failed:
                                 // don't fabricate a zero base — hand the

@@ -174,7 +174,7 @@ impl Nfs3Client {
                 let attr = PostOpAttr::decode(&mut dec)?.0;
                 let _count = dec.get_u32()?;
                 let eof = dec.get_bool()?;
-                let data = dec.get_opaque_var()?;
+                let data = res.slice_ref(dec.get_opaque_var_ref()?);
                 Ok(ReadRes { attr, data, eof })
             }
             s => Err(NfsError::Status(s)),

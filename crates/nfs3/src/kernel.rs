@@ -28,14 +28,15 @@ use parking_lot::Mutex;
 use simnet::telemetry::Counter;
 use simnet::{Env, SimDuration};
 use vfs::{Attr, FileIo, FileType, Handle, IoError, IoResult, LruMap};
+use xdr::Bytes;
 
 use crate::client::{Nfs3Client, NfsError};
 use crate::proto::{StableHow, Status};
 
 /// `(block, data)` results shared between read-gathering workers.
-type SharedBlockList = Arc<Mutex<Vec<(u64, Vec<u8>)>>>;
+type SharedBlockList = Arc<Mutex<Vec<(u64, Bytes)>>>;
 /// Pending `(block, data)` writes shared between write-staging workers.
-type SharedBlockQueue = Arc<Mutex<VecDeque<(u64, Vec<u8>)>>>;
+type SharedBlockQueue = Arc<Mutex<VecDeque<(u64, Bytes)>>>;
 
 /// Kernel client tuning knobs.
 #[derive(Debug, Clone, Copy)]
@@ -93,16 +94,22 @@ pub struct KernelStats {
     pub bytes_written: u64,
 }
 
+/// One cached block. `data` is a refcounted view, shared with `read`
+/// results and in-flight write-backs rather than copied; it is shorter
+/// than the block when the READ reply was short at EOF, and the rest
+/// reads as zeros. Writes go through [`block_mut`], which copies a
+/// shared or short block first.
 struct Block {
-    data: Vec<u8>,
+    data: Bytes,
     dirty: bool,
+    /// Generation of the handle that cached or last wrote the block, so
+    /// write-back can rebuild the file's handle from the block alone.
+    generation: u64,
 }
 
 struct KcState {
     cache: LruMap<(u64, u64), Block>,
     dirty_bytes: u64,
-    // BTreeMap: sync() scans these to recover handles, so iteration order
-    // must be deterministic (lint: determinism).
     dcache: BTreeMap<String, (Handle, u64)>, // path -> (handle, expires_ns)
     acache: BTreeMap<Handle, (Attr, u64)>,
     local_size: HashMap<u64, u64>, // fileid -> size as seen through our writes
@@ -244,13 +251,8 @@ impl KernelClient {
     }
 
     /// Fetch the given blocks with bounded parallelism; returns (block,
-    /// data) pairs. Data is padded to the block size.
-    fn fetch_blocks(
-        &self,
-        env: &Env,
-        h: Handle,
-        blocks: Vec<u64>,
-    ) -> IoResult<Vec<(u64, Vec<u8>)>> {
+    /// data) pairs, the data a view into each READ reply (short at EOF).
+    fn fetch_blocks(&self, env: &Env, h: Handle, blocks: Vec<u64>) -> IoResult<Vec<(u64, Bytes)>> {
         if blocks.is_empty() {
             return Ok(Vec::new());
         }
@@ -266,9 +268,7 @@ impl KernelClient {
                 q
             } {
                 let res = self.nfs.read(env, h, b * bs, bs as u32).map_err(map_err)?;
-                let mut data = res.data;
-                data.resize(bs as usize, 0);
-                results.lock().push((b, data));
+                results.lock().push((b, res.data));
             }
         } else {
             let mut joins = Vec::with_capacity(workers);
@@ -283,11 +283,7 @@ impl KernelClient {
                         None => return,
                     };
                     match nfs.read(&env, h, b * bs_w, bs_w as u32) {
-                        Ok(res) => {
-                            let mut data = res.data;
-                            data.resize(bs_w as usize, 0);
-                            results.lock().push((b, data));
-                        }
+                        Ok(res) => results.lock().push((b, res.data)),
                         Err(_) => return, // surfaces as a short result below
                     }
                 }));
@@ -309,7 +305,7 @@ impl KernelClient {
     }
 
     /// Push dirty blocks with bounded parallelism and COMMIT.
-    fn write_blocks(&self, env: &Env, h: Handle, blocks: Vec<(u64, Vec<u8>)>) -> IoResult<()> {
+    fn write_blocks(&self, env: &Env, h: Handle, blocks: Vec<(u64, Bytes)>) -> IoResult<()> {
         if blocks.is_empty() {
             return Ok(());
         }
@@ -334,7 +330,7 @@ impl KernelClient {
                     continue;
                 }
                 self.nfs
-                    .write(env, h, off, data, StableHow::Unstable)
+                    .write(env, h, off, data.to_vec(), StableHow::Unstable)
                     .map_err(map_err)?;
             }
         } else {
@@ -352,7 +348,10 @@ impl KernelClient {
                     if data.is_empty() {
                         continue;
                     }
-                    if nfs.write(&env, h, off, data, StableHow::Unstable).is_err() {
+                    if nfs
+                        .write(&env, h, off, data.to_vec(), StableHow::Unstable)
+                        .is_err()
+                    {
                         *failures.lock() += 1;
                         return;
                     }
@@ -372,78 +371,64 @@ impl KernelClient {
         Ok(())
     }
 
-    /// Take dirty blocks (for `only_file` if given) out of the cache's
-    /// dirty set, returning them for writeback. Blocks stay cached clean.
-    fn collect_dirty(&self, only_file: Option<u64>) -> Vec<(Handle, u64, Vec<u8>)> {
+    /// Take `fileid`'s dirty blocks out of the cache's dirty set,
+    /// returning handles on them for writeback. Blocks stay cached clean.
+    fn collect_dirty(&self, fileid: u64) -> Vec<(u64, Bytes)> {
         let mut st = self.state.lock();
         let keys: Vec<(u64, u64)> = st
             .cache
             .iter_mru()
-            .filter(|((f, _), blk)| blk.dirty && only_file.is_none_or(|of| *f == of))
+            .filter(|((f, _), blk)| blk.dirty && *f == fileid)
             .map(|(k, _)| *k)
             .collect();
         let mut out = Vec::with_capacity(keys.len());
         for k in keys {
             if let Some(blk) = st.cache.get_mut(&k) {
                 blk.dirty = false;
-                let data = blk.data.clone();
-                out.push((
-                    Handle {
-                        fileid: k.0,
-                        generation: 0, // filled by caller per-file
-                    },
-                    k.1,
-                    data,
-                ));
+                out.push((k.1, blk.data.clone()));
             }
         }
         st.dirty_bytes = st.dirty_bytes.saturating_sub(out.len() as u64 * self.bs());
-        out.sort_unstable_by_key(|(_, b, _)| *b);
+        out.sort_unstable_by_key(|(b, _)| *b);
         out
     }
 
     fn flush_file(&self, env: &Env, h: Handle) -> IoResult<()> {
-        let dirty = self.collect_dirty(Some(h.fileid));
-        let blocks: Vec<(u64, Vec<u8>)> = dirty.into_iter().map(|(_, b, d)| (b, d)).collect();
-        self.write_blocks(env, h, blocks)
+        let dirty = self.collect_dirty(h.fileid);
+        self.write_blocks(env, h, dirty)
     }
 
     /// Handle eviction results: a dirty block falling out of the LRU
-    /// triggers a batched write-back of the file's dirty set (the kernel
-    /// coalesces write-back rather than dribbling single pages).
-    fn writeback_evicted(
-        &self,
-        env: &Env,
-        evicted: Vec<((u64, u64), Block)>,
-        h: Handle,
-    ) -> IoResult<()> {
-        let bs = self.bs();
-        let mut flush_needed = false;
-        let mut stragglers = Vec::new();
+    /// triggers a batched write-back of its file's dirty set (the kernel
+    /// coalesces write-back rather than dribbling single pages). Each
+    /// block carries its handle's generation, so the evicted dirty blocks
+    /// of every file are written back, not only the file being accessed.
+    fn writeback_evicted(&self, env: &Env, evicted: Vec<((u64, u64), Block)>) -> IoResult<()> {
+        // BTreeMap: files are written back in handle order (lint: determinism).
+        let mut stragglers: BTreeMap<Handle, Vec<(u64, Bytes)>> = BTreeMap::new();
+        let mut evicted_dirty = 0u64;
         for ((fileid, b), blk) in evicted {
             if blk.dirty {
-                {
-                    let mut st = self.state.lock();
-                    st.dirty_bytes = st.dirty_bytes.saturating_sub(bs);
-                }
-                if fileid == h.fileid {
-                    stragglers.push((b, blk.data));
-                    flush_needed = true;
-                }
-                // Dirty data for another file evicted here would need its
-                // handle; our workloads only hold one hot written file at
-                // a time, and flush_file on close covers the rest.
+                let h = Handle {
+                    fileid,
+                    generation: blk.generation,
+                };
+                stragglers.entry(h).or_default().push((b, blk.data));
+                evicted_dirty += 1;
             }
         }
-        if flush_needed {
+        if evicted_dirty == 0 {
+            return Ok(());
+        }
+        {
+            let mut st = self.state.lock();
+            st.dirty_bytes = st.dirty_bytes.saturating_sub(evicted_dirty * self.bs());
+        }
+        for (h, evicted_blocks) in stragglers {
             // The evicted blocks themselves plus everything else dirty in
             // the file, in one pipelined batch.
-            let mut batch: Vec<(u64, Vec<u8>)> = self
-                .collect_dirty(Some(h.fileid))
-                .into_iter()
-                .map(|(_, b, d)| (b, d))
-                .collect();
-            batch.extend(stragglers);
+            let mut batch = self.collect_dirty(h.fileid);
+            batch.extend(evicted_blocks);
             batch.sort_unstable_by_key(|(b, _)| *b);
             batch.dedup_by_key(|(b, _)| *b);
             self.write_blocks(env, h, batch)?;
@@ -452,16 +437,29 @@ impl KernelClient {
     }
 }
 
-fn clip_to_size(b: u64, mut data: Vec<u8>, bs: u64, size: Option<u64>) -> (u64, Vec<u8>) {
-    let off = b * bs;
-    if let Some(sz) = size {
-        if off >= sz {
-            return (off, Vec::new());
-        }
-        let max = (sz - off).min(bs) as usize;
-        data.truncate(max);
+/// Writable bytes of a cached block: a block shared with a `read` result
+/// or an in-flight write-back, or short at EOF, is copied (and padded
+/// with zeros) first, so no other holder sees the write.
+fn block_mut(data: &mut Bytes, bs: usize) -> &mut [u8] {
+    if data.len() < bs {
+        let mut full = Vec::with_capacity(bs);
+        full.extend_from_slice(data);
+        full.resize(bs, 0);
+        *data = Bytes::from_vec(full);
     }
-    (off, data)
+    data.make_mut()
+}
+
+fn clip_to_size(b: u64, data: Bytes, bs: u64, size: Option<u64>) -> (u64, Bytes) {
+    let off = b * bs;
+    match size {
+        Some(sz) if off >= sz => (off, Bytes::new()),
+        Some(sz) => {
+            let max = ((sz - off).min(bs) as usize).min(data.len());
+            (off, data.slice(0, max))
+        }
+        None => (off, data),
+    }
 }
 
 fn map_err(e: NfsError) -> IoError {
@@ -524,15 +522,14 @@ impl FileIo for KernelClient {
         let first = offset / bs;
         let last = (offset + len as u64 - 1) / bs;
 
-        // Scan the cache: copy hits, collect misses.
-        // BTreeMap: the copy-out loop below iterates it (lint: determinism).
-        let mut assembled: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+        // Scan the cache: take handles on hits, collect misses.
+        let mut blocks: Vec<Option<Bytes>> = vec![None; (last - first + 1) as usize];
         let mut misses = Vec::new();
         {
             let mut st = self.state.lock();
             for b in first..=last {
                 if let Some(blk) = st.cache.get(&(h.fileid, b)) {
-                    assembled.insert(b, blk.data.clone());
+                    blocks[(b - first) as usize] = Some(blk.data.clone());
                     self.tel.cache_hits.inc();
                 } else {
                     misses.push(b);
@@ -549,33 +546,32 @@ impl FileIo for KernelClient {
             {
                 let mut st = self.state.lock();
                 for (b, data) in &fetched {
-                    if let Some(ev) = st.cache.insert(
-                        (h.fileid, *b),
-                        Block {
-                            data: data.clone(),
-                            dirty: false,
-                        },
-                    ) {
+                    let blk = Block {
+                        data: data.clone(),
+                        dirty: false,
+                        generation: h.generation,
+                    };
+                    if let Some(ev) = st.cache.insert((h.fileid, *b), blk) {
                         evicted_all.push(ev);
                     }
                 }
             }
-            self.writeback_evicted(env, evicted_all, h)?;
+            self.writeback_evicted(env, evicted_all)?;
             for (b, data) in fetched {
-                assembled.insert(b, data);
+                blocks[(b - first) as usize] = Some(data);
             }
         }
-        // Assemble the byte range from block copies.
-        let mut out = vec![0u8; len];
-        for (b, data) in assembled {
+        // Assemble the byte range; bytes past a short block read as zeros.
+        let mut out = Vec::with_capacity(len);
+        let end = offset + len as u64;
+        for (b, data) in (first..=last).zip(&blocks) {
             let block_start = b * bs;
-            let copy_from = offset.max(block_start);
-            let copy_to = (offset + len as u64).min(block_start + bs);
-            if copy_from >= copy_to {
-                continue;
-            }
-            let src = &data[(copy_from - block_start) as usize..(copy_to - block_start) as usize];
-            out[(copy_from - offset) as usize..(copy_to - offset) as usize].copy_from_slice(src);
+            let from = (offset.max(block_start) - block_start) as usize;
+            let to = (end.min(block_start + bs) - block_start) as usize;
+            let target = out.len() + (to - from);
+            let data = data.as_deref().unwrap_or_default();
+            out.extend_from_slice(data.get(from..to.min(data.len())).unwrap_or_default());
+            out.resize(target, 0);
         }
         Ok(out)
     }
@@ -608,22 +604,25 @@ impl FileIo for KernelClient {
                 }
             }
         }
+        // A block fetched here can evict another file's dirty block, which
+        // is written back below with this write's own evictions.
+        let mut evicted_all = Vec::new();
         if !rmw.is_empty() {
             let fetched = self.fetch_blocks(env, h, rmw)?;
             let mut st = self.state.lock();
             for (b, d) in fetched {
-                st.cache.insert(
-                    (h.fileid, b),
-                    Block {
-                        data: d,
-                        dirty: false,
-                    },
-                );
+                let blk = Block {
+                    data: d,
+                    dirty: false,
+                    generation: h.generation,
+                };
+                if let Some(ev) = st.cache.insert((h.fileid, b), blk) {
+                    evicted_all.push(ev);
+                }
             }
         }
 
         // Apply the write into cache blocks, marking dirty.
-        let mut evicted_all = Vec::new();
         {
             let mut st = self.state.lock();
             for b in first..=last {
@@ -634,9 +633,11 @@ impl FileIo for KernelClient {
                 let was_dirty = match st.cache.get_mut(&(h.fileid, b)) {
                     Some(blk) => {
                         let was = blk.dirty;
-                        blk.data[(from - bstart) as usize..(to - bstart) as usize]
+                        block_mut(&mut blk.data, bs as usize)
+                            [(from - bstart) as usize..(to - bstart) as usize]
                             .copy_from_slice(src);
                         blk.dirty = true;
+                        blk.generation = h.generation;
                         Some(was)
                     }
                     None => None,
@@ -651,8 +652,9 @@ impl FileIo for KernelClient {
                         if let Some(ev) = st.cache.insert(
                             (h.fileid, b),
                             Block {
-                                data: block,
+                                data: Bytes::from_vec(block),
                                 dirty: true,
+                                generation: h.generation,
                             },
                         ) {
                             evicted_all.push(ev);
@@ -672,7 +674,7 @@ impl FileIo for KernelClient {
         for _ in first..=last {
             env.sleep(self.cfg.hit_cost);
         }
-        self.writeback_evicted(env, evicted_all, h)?;
+        self.writeback_evicted(env, evicted_all)?;
 
         // Back-pressure: too much dirty data forces a synchronous flush,
         // like the kernel's dirty-ratio writeback.
@@ -764,43 +766,95 @@ impl FileIo for KernelClient {
     }
 
     fn sync(&self, env: &Env) -> IoResult<()> {
-        // Flush every file with dirty blocks.
+        // Flush every file with dirty blocks; each block carries its
+        // handle's generation.
         loop {
-            let next_file = {
+            let next = {
                 let st = self.state.lock();
-                let nf = st
+                let h = st
                     .cache
                     .iter_mru()
                     .find(|(_, blk)| blk.dirty)
-                    .map(|((f, _), _)| *f);
-                nf
+                    .map(|((fileid, _), blk)| Handle {
+                        fileid: *fileid,
+                        generation: blk.generation,
+                    });
+                h
             };
-            let fileid = match next_file {
-                Some(f) => f,
-                None => break,
-            };
-            // Recover a usable handle for the file: generation is not
-            // tracked per block, so find it in the dcache/acache.
-            let h = {
-                let st = self.state.lock();
-                let found = st
-                    .acache
-                    .keys()
-                    .chain(st.dcache.values().map(|(h, _)| h))
-                    .find(|h| h.fileid == fileid)
-                    .copied();
-                found
-            };
-            match h {
+            match next {
                 Some(h) => self.flush_file(env, h)?,
-                None => {
-                    // No handle — drop the dirty bits (cannot happen in
-                    // practice: writes require a handle, which populates
-                    // the attribute cache).
-                    let _ = self.collect_dirty(Some(fileid));
-                }
+                None => break,
             }
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{MountServer, Nfs3Server, ServerConfig};
+    use oncrpc::{AuthSys, Dispatcher, OpaqueAuth, RpcClient, WireSpec};
+    use simnet::{Link, Simulation};
+    use vfs::{Disk, DiskModel};
+
+    #[test]
+    fn write_to_a_block_shared_with_a_read_copies_it_first() {
+        let sim = Simulation::new();
+        let h = sim.handle();
+        let disk = Disk::new(&h, DiskModel::server_array());
+        let (fs, server) = Nfs3Server::with_new_fs(&h, disk, ServerConfig::default());
+        let mount = MountServer::new(fs.clone(), vec!["/".to_string()]);
+        let lat = SimDuration::from_micros(100);
+        let ep = oncrpc::endpoint(
+            &h,
+            Link::from_mbps(&h, "up", 1000.0, lat),
+            Link::from_mbps(&h, "down", 1000.0, lat),
+            WireSpec::plain(),
+        );
+        let handler = Dispatcher::new()
+            .register(server)
+            .register(mount)
+            .into_handler();
+        ep.listener.serve("nfsd", handler, 2);
+        let rpc = RpcClient::new(ep.channel, OpaqueAuth::sys(&AuthSys::new("t", 1, 1)));
+        let nfs = Nfs3Client::new(rpc);
+        sim.spawn("client", move |env: Env| {
+            let file = {
+                let mut fs = fs.lock();
+                let root = fs.root();
+                let f = fs.create(root, "f", 0o644, 0).unwrap();
+                fs.write(f, 0, &[7u8; 1000], 0).unwrap();
+                f
+            };
+            let kc = KernelClient::mount(&env, nfs, "/", KernelConfig::default()).unwrap();
+            assert_eq!(kc.read(&env, file, 0, 1000).unwrap(), vec![7u8; 1000]);
+            // An earlier read's handle on the cached block, as `read`
+            // takes one on a hit.
+            let held = kc
+                .state
+                .lock()
+                .cache
+                .get(&(file.fileid, 0))
+                .unwrap()
+                .data
+                .clone();
+            kc.write(&env, file, 10, b"new").unwrap();
+            assert_eq!(&*held, &[7u8; 1000][..], "the held view must not change");
+            let got = kc.read(&env, file, 0, 1000).unwrap();
+            assert_eq!(&got[10..13], b"new");
+            assert!(got[..10].iter().chain(&got[13..]).all(|&b| b == 7));
+            // Write-back hands out handles too: a write while one is held
+            // leaves the handle's bytes alone.
+            let dirty = kc.collect_dirty(file.fileid);
+            assert_eq!(dirty.len(), 1);
+            kc.write(&env, file, 10, b"NEW").unwrap();
+            assert_eq!(&dirty[0].1[10..13], b"new");
+            kc.close(&env, file).unwrap();
+            let (on_server, _) = fs.lock().read(file, 0, 2000, 0).unwrap();
+            assert_eq!(on_server.len(), 1000);
+            assert_eq!(&on_server[10..13], b"NEW");
+        });
+        sim.run();
     }
 }

@@ -477,8 +477,8 @@ impl StableHow {
 pub struct ReadRes {
     /// Post-op file attributes.
     pub attr: Option<Attr>,
-    /// Bytes actually read.
-    pub data: Vec<u8>,
+    /// Bytes actually read: a view into the reply, not a copy.
+    pub data: xdr::Bytes,
     /// Whether this read reached end-of-file.
     pub eof: bool,
 }

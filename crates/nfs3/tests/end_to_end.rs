@@ -204,6 +204,45 @@ fn kernel_client_partial_block_write_preserves_neighbors() {
 }
 
 #[test]
+fn kernel_client_writes_back_evicted_dirty_blocks_of_every_file() {
+    // Two files written alternately, six blocks at a time, through an
+    // eight-block buffer cache: writing one file evicts the other's dirty
+    // blocks, which must reach the server rather than be dropped.
+    const BS: usize = 32 * 1024;
+    const RUN: u64 = 6;
+    const BLOCKS: u64 = 3 * RUN;
+    let fill = |file: u8, i: u64| vec![file * 32 + i as u8 + 1; BS];
+    let sim = Simulation::new();
+    let (server, nfs) = fast(&sim);
+    sim.spawn("client", move |env: Env| {
+        let cfg = KernelConfig {
+            cache_bytes: 8 * BS as u64,
+            dirty_limit_bytes: 64 << 20,
+            ..KernelConfig::default()
+        };
+        let kc = KernelClient::mount(&env, nfs, "/", cfg).unwrap();
+        let a = kc.create_path(&env, "a").unwrap();
+        let b = kc.create_path(&env, "b").unwrap();
+        for run in (0..BLOCKS).step_by(RUN as usize) {
+            for (h, file) in [(a, 1u8), (b, 2)] {
+                for i in run..run + RUN {
+                    kc.write(&env, h, i * BS as u64, &fill(file, i)).unwrap();
+                }
+            }
+        }
+        kc.close(&env, a).unwrap();
+        kc.close(&env, b).unwrap();
+        for (h, file) in [(a, 1u8), (b, 2)] {
+            let expect: Vec<u8> = (0..BLOCKS).flat_map(|i| fill(file, i)).collect();
+            let (got, _) = server.fs().lock().read(h, 0, expect.len() + 1, 0).unwrap();
+            assert_eq!(got.len(), expect.len(), "file {file} size");
+            assert!(got == expect, "file {file} lost evicted dirty blocks");
+        }
+    });
+    sim.run();
+}
+
+#[test]
 fn kernel_client_namespace_operations() {
     let sim = Simulation::new();
     let (_server, nfs) = fast(&sim);

@@ -1,7 +1,60 @@
 //! Property-based invariants for the filesystem substrate.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
-use vfs::{Fs, LruMap, SparseBytes};
+use vfs::{Fs, LruMap, SparseBytes, CHUNK_SIZE};
+
+/// The chunk contents the shared-chunk property draws on: zeros, two
+/// patterns, and the first pattern with one byte changed.
+fn chunk_contents() -> Vec<Vec<u8>> {
+    let pattern = |seed: u64| -> Vec<u8> {
+        let mut x = seed;
+        (0..CHUNK_SIZE)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (x >> 59) as u8
+            })
+            .collect()
+    };
+    let mut near = pattern(1);
+    near[CHUNK_SIZE / 2 + 3] ^= 0x80;
+    vec![vec![0u8; CHUNK_SIZE], pattern(1), pattern(2), near]
+}
+
+/// A file as a dense byte vector plus the chunks unshared sparse storage
+/// would have allocated: a chunk is allocated when a nonzero byte lands
+/// in it, and freed only by a truncate below it.
+#[derive(Default)]
+struct DenseFile {
+    bytes: Vec<u8>,
+    allocated: BTreeSet<u64>,
+}
+
+impl DenseFile {
+    fn write(&mut self, off: u64, data: &[u8]) {
+        let end = off as usize + data.len();
+        if self.bytes.len() < end {
+            self.bytes.resize(end, 0);
+        }
+        self.bytes[off as usize..end].copy_from_slice(data);
+        for (i, &b) in data.iter().enumerate() {
+            if b != 0 {
+                self.allocated.insert((off + i as u64) / CHUNK_SIZE as u64);
+            }
+        }
+    }
+
+    fn truncate(&mut self, len: u64) {
+        if len < self.bytes.len() as u64 {
+            let first_dead = len.div_ceil(CHUNK_SIZE as u64);
+            self.allocated.retain(|&c| c < first_dead);
+        }
+        self.bytes.resize(len as usize, 0);
+    }
+}
 
 proptest! {
     /// SparseBytes matches a dense reference model under arbitrary
@@ -50,6 +103,58 @@ proptest! {
         let window = 700.min(dense.len().saturating_sub(probe));
         let dense_zero = dense[probe..probe + window].iter().all(|&b| b == 0);
         prop_assert_eq!(sparse.is_zero_range(probe as u64, window), dense_zero);
+    }
+
+    /// Files whose full chunks come from a small set of contents (so the
+    /// chunk pool shares their buffers) each match their own dense model
+    /// under full-chunk, partial and zero writes, chunk copies between
+    /// files and truncates: a write to one file never shows in another,
+    /// and `allocated()` follows the rule of unshared storage.
+    #[test]
+    fn shared_chunks_match_dense_models_across_files(
+        ops in proptest::collection::vec(
+            ((0usize..3, 0u8..4), (0usize..4, 0u64..400_000, 0usize..3_000)),
+            1..40
+        )
+    ) {
+        let contents = chunk_contents();
+        let mut files: Vec<SparseBytes> = (0..3).map(|_| SparseBytes::new()).collect();
+        let mut dense: Vec<DenseFile> = (0..3).map(|_| DenseFile::default()).collect();
+        for ((f, kind), (c, off, len)) in ops {
+            let aligned = off / CHUNK_SIZE as u64 * CHUNK_SIZE as u64;
+            match kind {
+                // Full-chunk write.
+                0 => {
+                    files[f].write_at(aligned, &contents[c]);
+                    dense[f].write(aligned, &contents[c]);
+                }
+                // Partial write (zeros when `c` is 0).
+                1 => {
+                    let data = &contents[c][..len];
+                    files[f].write_at(off, data);
+                    dense[f].write(off, data);
+                }
+                // Copy two chunks from file `c % 3` into file `f`, as a
+                // clone copies a state file.
+                2 => {
+                    let src = c % 3;
+                    let data = files[src].read_range(aligned, 2 * CHUNK_SIZE);
+                    files[f].write_at(aligned, &data);
+                    dense[f].write(aligned, &data);
+                }
+                _ => {
+                    files[f].truncate(off);
+                    dense[f].truncate(off);
+                }
+            }
+            for (s, d) in files.iter().zip(&dense) {
+                prop_assert_eq!(s.len(), d.bytes.len() as u64);
+                prop_assert_eq!(s.allocated(), d.allocated.len() as u64 * CHUNK_SIZE as u64);
+            }
+        }
+        for (s, d) in files.iter().zip(&dense) {
+            prop_assert!(s.read_range(0, d.bytes.len() + 1) == d.bytes);
+        }
     }
 
     /// The LRU map never exceeds capacity, and membership matches a

@@ -93,6 +93,16 @@ impl Bytes {
         &self.buf[self.off..self.off + self.len]
     }
 
+    /// Mutable access to this view's bytes. The view is copied into a
+    /// buffer of its own first unless it is the only handle on, and
+    /// spans all of, its backing buffer, so no other view sees the change.
+    pub fn make_mut(&mut self) -> &mut [u8] {
+        if self.off != 0 || self.len != self.buf.len() {
+            *self = Bytes::from_vec(self.to_vec());
+        }
+        Arc::make_mut(&mut self.buf).as_mut_slice()
+    }
+
     /// Copy this view out into an owned vector.
     pub fn to_vec(&self) -> Vec<u8> {
         self.as_slice().to_vec()
@@ -197,6 +207,26 @@ mod tests {
             unsafe { b.as_slice().as_ptr().add(1) },
             "slice must not copy"
         );
+    }
+
+    #[test]
+    fn make_mut_copies_only_shared_or_partial_views() {
+        let mut b = Bytes::from_vec(vec![1, 2, 3, 4]);
+        let p = b.as_slice().as_ptr();
+        b.make_mut()[0] = 9;
+        assert_eq!(
+            b.as_slice().as_ptr(),
+            p,
+            "sole whole view is written in place"
+        );
+        let c = b.clone();
+        b.make_mut()[1] = 8;
+        assert_eq!(&*b, &[9, 8, 3, 4]);
+        assert_eq!(&*c, &[9, 2, 3, 4], "a shared view is copied first");
+        let mut s = c.slice(2, 4);
+        s.make_mut()[0] = 7;
+        assert_eq!(&*s, &[7, 4]);
+        assert_eq!(&*c, &[9, 2, 3, 4], "a sub-view is copied first");
     }
 
     #[test]
